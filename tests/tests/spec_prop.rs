@@ -337,3 +337,70 @@ proptest! {
         prop_assert_ne!(mutated.to_json(), spec.to_json());
     }
 }
+
+// ---------------------------------------------------------------------
+// Identity snapshot: pinned cache keys and codec bytes.
+// ---------------------------------------------------------------------
+
+/// Every committed scenario file, in the order the snapshot lists them.
+const SCENARIO_FILES: &[&str] = &[
+    "scenarios/f2.scn",
+    "scenarios/x4.scn",
+    "scenarios/t1.scn",
+    "scenarios/rbc-compare.scn",
+    "scenarios/rbc-wire.scn",
+    "scenarios/rbc-adversary.scn",
+    "scenarios/examples/hybrid_stripes.scn",
+    "scenarios/examples/reactive_mixed.scn",
+    "scenarios/examples/stripe_chaos.scn",
+];
+
+/// One `FILE#INDEX KEY` line per expanded point of every committed
+/// scenario, keys in the 16-hex form `bftbcast spec --to key` prints.
+fn scenario_key_lines() -> String {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/..");
+    let mut out = String::new();
+    for rel in SCENARIO_FILES {
+        let text = std::fs::read_to_string(format!("{root}/{rel}")).unwrap();
+        let file = bftbcast::ScenarioFile::parse(&text).unwrap();
+        for (i, point) in file.points().iter().enumerate() {
+            let key = bftbcast::cache::point_key(file.engine, point, &file.probes);
+            out.push_str(&format!("{rel}#{i} {key:016x}\n"));
+        }
+    }
+    out
+}
+
+/// The cache key of every committed scenario point is pinned: a key
+/// change retires warm store entries and federation shards, so it must
+/// come with a `CACHE_SCHEMA_VERSION` bump and a re-pinned snapshot.
+#[test]
+fn committed_scenario_keys_are_pinned() {
+    let actual = scenario_key_lines();
+    let expected = include_str!("golden/scenario_keys.txt");
+    assert_eq!(actual.lines().count(), 195, "point count drifted");
+    for (a, e) in actual.lines().zip(expected.lines()) {
+        assert_eq!(a, e, "pinned key changed");
+    }
+    assert_eq!(actual, expected);
+}
+
+/// The key, canonical JSON and canonical `.scn` of 512 fixed generated
+/// specs — every engine and every placement/protocol/crash/reactive/
+/// agreement/rbc variant, including the shapes no committed scenario
+/// uses — hash to one pinned digest.
+#[test]
+fn codec_bytes_are_pinned() {
+    let mut all = String::new();
+    for seed in 0..512u64 {
+        let spec = gen_spec(seed);
+        all.push_str(&format!(
+            "{:016x}\n{}\n{}\n",
+            spec.cache_key(),
+            spec.to_json(),
+            spec.to_scn()
+        ));
+    }
+    let digest = bftbcast_store::fnv1a(all.as_bytes());
+    assert_eq!(format!("{digest:016x}"), "5c7f929e14fa4027");
+}
