@@ -72,10 +72,10 @@ COMMANDS:
              --jobs), and stream one JSON line (or table row) per point;
              with --store, consult/record the content-addressed outcome
              store so repeated points cost a lookup instead of a run;
-             each --set pins one field by sweep-axis name (m, quorum,
-             t, mf, seed, count, p, k, mmax, p1, pe, protocol,
-             payload) before the sweep expands, dropping any [sweep]
-             axis over the same key;
+             each --set pins one field by sweep-axis name before the
+             sweep expands, dropping any [sweep] axis over the same
+             key; the axes are
+{AXES};
              see docs/ARCHITECTURE.md for the grammar and EXPERIMENTS.md
              for the output schema
   spec       FILE [--to scn|json|key]: convert engine specs between the
@@ -164,6 +164,25 @@ COMMANDS:
 
 Every run is deterministic given --seed.";
 
+/// [`USAGE`] with the sweep-axis list filled in from the field table.
+fn usage() -> String {
+    let mut axes = String::new();
+    let mut line = String::from("            ");
+    for name in bftbcast::fields::axis_names() {
+        if line.len() + name.len() > 60 {
+            axes.push_str(&line);
+            axes.push_str(",\n");
+            line = String::from("            ");
+        } else if !line.trim().is_empty() {
+            line.push(',');
+        }
+        line.push(' ');
+        line.push_str(name);
+    }
+    axes.push_str(&line);
+    USAGE.replace("{AXES}", &axes)
+}
+
 /// Dispatches a parsed command line.
 ///
 /// # Errors
@@ -171,7 +190,7 @@ Every run is deterministic given --seed.";
 /// Any [`CliError`]; the binary prints it and exits non-zero.
 pub fn dispatch(args: &Args) -> Result<String, CliError> {
     match args.command.as_deref() {
-        None | Some("help") => Ok(USAGE.to_string()),
+        None | Some("help") => Ok(usage()),
         Some("bounds") => cmd_bounds(args),
         Some("run") => cmd_run(args),
         Some("spec") => cmd_spec(args),
@@ -409,64 +428,17 @@ fn store_from(args: &Args) -> Result<Option<bftbcast_store::Store>, CliError> {
     }
 }
 
-/// One `--set key=value` override: the value is an integer or float in
-/// the sweep-axis vocabulary, or a name for one of the rbc string axes
-/// (`protocol`, `schedule`, `behavior`).
-fn parse_set(raw: &str) -> Result<(&str, bftbcast::scenario_file::AxisValue), CliError> {
-    use bftbcast::scenario_file::AxisValue;
-    let Some((key, value)) = raw.split_once('=') else {
-        return Err(CliError::Other(format!(
-            "--set {raw:?}: expected key=value (e.g. --set seed=7)"
-        )));
-    };
-    let value = if key == "protocol" {
-        match bftbcast::rbc::RbcProtocol::from_name(value) {
-            Some(p) => AxisValue::Name(p.name()),
-            None => {
-                return Err(CliError::Other(format!(
-                    "--set {raw:?}: unknown protocol {value:?} (counting|bracha|ctrbc)"
-                )))
-            }
-        }
-    } else if key == "schedule" {
-        match bftbcast::rbc::ScheduleKind::from_name(value) {
-            Some(s) => AxisValue::Name(s.name()),
-            None => {
-                return Err(CliError::Other(format!(
-                    "--set {raw:?}: unknown schedule {value:?} \
-                     (seeded|fifo|delay_quorum|targeted_reorder|gst)"
-                )))
-            }
-        }
-    } else if key == "behavior" {
-        match bftbcast::rbc::ByzantineBehavior::from_name(value) {
-            Some(b) => AxisValue::Name(b.name()),
-            None => {
-                return Err(CliError::Other(format!(
-                    "--set {raw:?}: unknown behavior {value:?} \
-                     (mute|equivocate|selective_send|stale_replay)"
-                )))
-            }
-        }
-    } else if let Ok(i) = value.parse::<i64>() {
-        AxisValue::Int(i)
-    } else if let Ok(f) = value.parse::<f64>() {
-        AxisValue::Float(f)
-    } else {
-        return Err(CliError::Other(format!(
-            "--set {raw:?}: value {value:?} is not a number"
-        )));
-    };
-    Ok((key, value))
-}
-
 /// `run --scenario FILE`: the declarative batch path.
 fn cmd_run_scenario(path: &str, args: &Args) -> Result<String, CliError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::Other(format!("reading {path}: {e}")))?;
     let mut file = ScenarioFile::parse(&text)?;
     for raw in args.get_all("set") {
-        let (key, value) = parse_set(raw)?;
+        let (key, value) = raw.split_once('=').ok_or_else(|| {
+            CliError::Other(format!(
+                "--set {raw:?}: expected key=value (e.g. --set seed=7)"
+            ))
+        })?;
         file.override_base(key, value)?;
     }
     let jobs = jobs_from(args)?;
@@ -1925,6 +1897,7 @@ mod tests {
             "--queue",
             "--retries",
             "--verbose",
+            "schedule, behavior",
         ] {
             assert!(usage.contains(needle), "{needle} missing from usage");
         }

@@ -34,6 +34,7 @@ use bftbcast_sim::runner::{sweep_bounded, Table};
 use bftbcast_store::Store;
 
 use crate::cache;
+use crate::fields::View;
 use crate::json::{self, Object};
 use crate::scenario::ScenarioError;
 use crate::scenario_file::{EngineKind, PointSpec, ScenarioFile};
@@ -113,12 +114,10 @@ pub fn build_engine(
 /// Any [`ScenarioError`] from engine construction.
 pub fn run_point(file: &ScenarioFile, point: &PointSpec) -> Result<PointResult, ScenarioError> {
     let mut engine = build_engine(file.engine, point)?;
-    // Probe cells are validated at parse time; re-check before the
-    // (possibly expensive) run as a backstop against hand-built files.
-    for &(x, y) in &file.probes {
-        let grid = engine.topology().grid();
-        crate::scenario_file::check_probe_cell(x, y, grid.width(), grid.height())?;
-    }
+    // Fields are validated at parse time; re-check before the (possibly
+    // expensive) run as a backstop against hand-built files.
+    let (view, probes) = (View::bare(file.engine, point), &file.probes[..]);
+    crate::fields::field_fault(&View { probes, ..view })?;
     let outcome = engine.run_to_completion();
     let mut probes = Vec::with_capacity(file.probes.len());
     for &(x, y) in &file.probes {

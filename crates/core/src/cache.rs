@@ -5,8 +5,8 @@
 //! configuration, so an outcome computed once is an outcome computed
 //! forever. This module defines what "the configuration" means:
 //!
-//! * [`point_key`] — the content hash of a canonical
-//!   [`bftbcast_store::Record`] holding **every field the
+//! * [`point_key`] — the content hash of the [`crate::fields`] table's
+//!   canonical [`bftbcast_store::Record`], holding **every field the
 //!   engines read**: engine kind, torus dimensions and range, fault
 //!   parameters, source cell, seed, placement, protocol, adversary,
 //!   crash/reactive/agreement configuration, and the probe list
@@ -24,14 +24,12 @@
 //! stop matching instead of being misread.
 
 use bftbcast_net::Value;
-use bftbcast_sim::crash::CrashBehavior;
 use bftbcast_sim::engine::{EngineOutcome, Probe};
 use bftbcast_sim::metrics::{CountingOutcome, RbcOutcome, ReactiveOutcome};
-use bftbcast_store::Record;
 
 use crate::batch::{PointResult, ProbeResult};
-use crate::scenario_file::{CrashNodesSpec, EngineKind, PlacementSpec, PointSpec, ProtocolSpec};
-use crate::spec::{agreement_mode_name, reactive_adversary_name};
+use crate::fields::{self, View};
+use crate::scenario_file::{EngineKind, PointSpec};
 
 /// Version of both the key record and the result encoding. Bump on any
 /// schema change; old entries then miss instead of misdecoding.
@@ -44,134 +42,16 @@ use crate::spec::{agreement_mode_name, reactive_adversary_name};
 /// codec.
 pub const CACHE_SCHEMA_VERSION: u16 = 3;
 
-fn cells_list(cells: &[(u32, u32)]) -> Vec<Record> {
-    cells
-        .iter()
-        .map(|&(x, y)| {
-            Record::new(CACHE_SCHEMA_VERSION)
-                .u64("x", u64::from(x))
-                .u64("y", u64::from(y))
-        })
-        .collect()
-}
-
-fn placement_record(placement: &PlacementSpec) -> Record {
-    let r = Record::new(CACHE_SCHEMA_VERSION);
-    match placement {
-        PlacementSpec::None => r.str("kind", "none"),
-        PlacementSpec::Lattice { offset } => {
-            r.str("kind", "lattice").u64("offset", u64::from(*offset))
-        }
-        PlacementSpec::Stripes(stripes) => r.str("kind", "stripes").list(
-            "stripes",
-            &stripes
-                .iter()
-                .map(|&(y0, t, above)| {
-                    Record::new(CACHE_SCHEMA_VERSION)
-                        .u64("y0", u64::from(y0))
-                        .u64("t", u64::from(t))
-                        .bool("above", above)
-                })
-                .collect::<Vec<_>>(),
-        ),
-        PlacementSpec::Random { count } => r.str("kind", "random").u64("count", *count as u64),
-        PlacementSpec::Bernoulli { p } => r.str("kind", "bernoulli").f64("p", *p),
-        PlacementSpec::Explicit(cells) => {
-            r.str("kind", "explicit").list("nodes", &cells_list(cells))
-        }
-    }
-}
-
-fn protocol_record(protocol: &ProtocolSpec) -> Record {
-    let r = Record::new(CACHE_SCHEMA_VERSION);
-    match protocol {
-        ProtocolSpec::B => r.str("kind", "b"),
-        ProtocolSpec::Koo => r.str("kind", "koo"),
-        ProtocolSpec::Heter => r.str("kind", "heter"),
-        ProtocolSpec::Starved { m } => r.str("kind", "starved").u64("m", *m),
-        ProtocolSpec::Majority { quorum } => r.str("kind", "majority").u64("quorum", *quorum),
-        ProtocolSpec::CrashOnly => r.str("kind", "crash_only"),
-    }
-}
-
-/// The content-hash cache key for one fully-resolved sweep point.
+/// The content-hash cache key for one fully-resolved sweep point: the
+/// hash of the key record the field table ([`crate::fields`]) writes.
 ///
 /// Stable across field order, process runs, and platforms (see
 /// `bftbcast-store`'s canonical encoding); sensitive to every field an
 /// engine reads. The sweep label is excluded by construction — it is
 /// not an input to the run.
 pub fn point_key(engine: EngineKind, point: &PointSpec, probes: &[(u32, u32)]) -> u64 {
-    let mut r = Record::new(CACHE_SCHEMA_VERSION)
-        .str("engine", engine.name())
-        .u64("width", u64::from(point.width))
-        .u64("height", u64::from(point.height))
-        .u64("r", u64::from(point.r))
-        .u64("t", u64::from(point.t))
-        .u64("mf", point.mf)
-        .u64("source_x", u64::from(point.source.0))
-        .u64("source_y", u64::from(point.source.1))
-        .u64("seed", point.seed)
-        .record("placement", placement_record(&point.placement))
-        .record("protocol", protocol_record(&point.protocol))
-        .str("adversary", point.adversary.name())
-        .list("probes", &cells_list(probes));
-    if let Some(crash) = &point.crash {
-        let nodes = match &crash.nodes {
-            CrashNodesSpec::Stripe { y0, height } => Record::new(CACHE_SCHEMA_VERSION)
-                .str("kind", "stripe")
-                .u64("y0", u64::from(*y0))
-                .u64("height", u64::from(*height)),
-            CrashNodesSpec::Explicit(cells) => Record::new(CACHE_SCHEMA_VERSION)
-                .str("kind", "explicit")
-                .list("nodes", &cells_list(cells)),
-        };
-        let behavior = match crash.behavior {
-            CrashBehavior::Immediate => Record::new(CACHE_SCHEMA_VERSION).str("kind", "immediate"),
-            CrashBehavior::AfterQuota => {
-                Record::new(CACHE_SCHEMA_VERSION).str("kind", "after_quota")
-            }
-            CrashBehavior::AfterCopies(n) => Record::new(CACHE_SCHEMA_VERSION)
-                .str("kind", "after_copies")
-                .u64("after", n),
-        };
-        r = r.record(
-            "crash",
-            Record::new(CACHE_SCHEMA_VERSION)
-                .record("nodes", nodes)
-                .record("behavior", behavior),
-        );
-    }
-    r = r.record(
-        "reactive",
-        Record::new(CACHE_SCHEMA_VERSION)
-            .u64("k", point.reactive.k as u64)
-            .u64("mmax", point.reactive.mmax)
-            .str(
-                "adversary",
-                reactive_adversary_name(point.reactive.adversary),
-            )
-            .u64("budget", point.reactive.budget.map_or(u64::MAX, |b| b))
-            .bool("budget_set", point.reactive.budget.is_some())
-            .u64("max_rounds", point.reactive.max_rounds),
-    );
-    r = r.record(
-        "agreement",
-        Record::new(CACHE_SCHEMA_VERSION)
-            .str("mode", agreement_mode_name(point.agreement.mode))
-            .str("source", point.agreement.source.name())
-            .f64("p1", point.agreement.p1)
-            .f64("pe", point.agreement.pe),
-    );
-    r = r.record(
-        "rbc",
-        Record::new(CACHE_SCHEMA_VERSION)
-            .str("protocol", point.rbc.protocol.name())
-            .u64("payload", u64::from(point.rbc.payload))
-            .u64("max_waves", point.rbc.max_waves)
-            .str("schedule", point.rbc.schedule.name())
-            .str("behavior", point.rbc.behavior.name()),
-    );
-    r.content_hash()
+    let view = View::bare(engine, point);
+    fields::key_record(&View { probes, ..view }).content_hash()
 }
 
 // ---------------------------------------------------------------------
@@ -432,7 +312,7 @@ pub fn decode_result(bytes: &[u8]) -> Option<PointResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario_file::{AdversarySpec, ScenarioFile};
+    use crate::scenario_file::{AdversarySpec, PlacementSpec, ProtocolSpec, ScenarioFile};
     use bftbcast_sim::agreement::AgreementOutcome;
 
     fn f2_file() -> ScenarioFile {

@@ -169,14 +169,6 @@ impl Json {
         }
     }
 
-    /// The value as an `f64`, if this is a (finite) number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(raw) => raw.parse().ok().filter(|x: &f64| x.is_finite()),
-            _ => None,
-        }
-    }
-
     /// The array items, if this is an array.
     pub fn as_array(&self) -> Option<&[Json]> {
         match self {

@@ -52,7 +52,7 @@ use bftbcast_viz::LineChart;
 
 use crate::batch::{run_file_with, BatchOptions};
 use crate::json::Json;
-use crate::scenario::ScenarioError;
+use crate::scenario::{invalid, ScenarioError};
 use crate::scenario_file::ScenarioFile;
 
 /// Which figure family to render.
@@ -259,13 +259,6 @@ impl MapDecor {
 /// the SVG bytes (the same hash the outcome store keys with).
 pub fn figure_hash(svg: &str) -> u64 {
     bftbcast_store::canon::fnv1a(svg.as_bytes())
-}
-
-fn invalid(what: &str, message: impl Into<String>) -> ScenarioError {
-    ScenarioError::Invalid {
-        what: what.to_string(),
-        message: message.into(),
-    }
 }
 
 /// One probe row, decoded from the JSONL shape.

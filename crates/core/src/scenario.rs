@@ -92,6 +92,14 @@ pub enum ScenarioError {
     },
 }
 
+/// An [`ScenarioError::Invalid`] naming `what`.
+pub(crate) fn invalid(what: &str, message: impl Into<String>) -> ScenarioError {
+    ScenarioError::Invalid {
+        what: what.to_string(),
+        message: message.into(),
+    }
+}
+
 impl fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

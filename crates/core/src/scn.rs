@@ -107,14 +107,6 @@ impl ScnSection {
             .find(|(k, _, _)| k == key)
             .map(|(_, v, _)| v)
     }
-
-    /// The source line of a key (for error reporting).
-    pub fn line_of(&self, key: &str) -> usize {
-        self.entries
-            .iter()
-            .find(|(k, _, _)| k == key)
-            .map_or(self.line, |&(_, _, line)| line)
-    }
 }
 
 /// A parsed document: sections in file order.
@@ -157,19 +149,17 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-struct ValueParser {
-    chars: Vec<char>,
+/// A cursor over one value's text; `pos` is a byte offset on a char
+/// boundary.
+struct ValueParser<'a> {
+    text: &'a str,
     pos: usize,
     line: usize,
 }
 
-impl ValueParser {
-    fn new(text: &str, line: usize) -> Self {
-        ValueParser {
-            chars: text.chars().collect(),
-            pos: 0,
-            line,
-        }
+impl<'a> ValueParser<'a> {
+    fn new(text: &'a str, line: usize) -> Self {
+        ValueParser { text, pos: 0, line }
     }
 
     fn err(&self, message: impl Into<String>) -> ScnError {
@@ -180,13 +170,13 @@ impl ValueParser {
     }
 
     fn skip_ws(&mut self) {
-        while self.pos < self.chars.len() && self.chars[self.pos].is_whitespace() {
-            self.pos += 1;
+        while let Some(c) = self.peek().filter(|c| c.is_whitespace()) {
+            self.pos += c.len_utf8();
         }
     }
 
     fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+        self.text[self.pos..].chars().next()
     }
 
     fn value(&mut self) -> Result<ScnValue, ScnError> {
@@ -224,7 +214,7 @@ impl ValueParser {
                 }
                 Some(c) => {
                     out.push(c);
-                    self.pos += 1;
+                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -267,8 +257,7 @@ impl ValueParser {
         while self.peek().is_some_and(|c| c.is_ascii_alphabetic()) {
             self.pos += 1;
         }
-        let word: String = self.chars[start..self.pos].iter().collect();
-        match word.as_str() {
+        match &self.text[start..self.pos] {
             "true" => Ok(ScnValue::Bool(true)),
             "false" => Ok(ScnValue::Bool(false)),
             other => Err(self.err(format!(
@@ -285,7 +274,7 @@ impl ValueParser {
         {
             self.pos += 1;
         }
-        let raw: String = self.chars[start..self.pos].iter().collect();
+        let raw = &self.text[start..self.pos];
         let clean = raw.replace('_', "");
         if clean.is_empty() {
             return Err(self.err(format!(
@@ -316,6 +305,15 @@ impl ValueParser {
             Some(c) => Err(self.err(format!("trailing text starting at {c:?} after value"))),
         }
     }
+}
+
+/// Parses one value as written right of `key = value` (the `run --set
+/// key=value` path); a [`ScnError`] (line 1) for anything else.
+pub fn parse_value(text: &str) -> Result<ScnValue, ScnError> {
+    let mut parser = ValueParser::new(text, 1);
+    let value = parser.value()?;
+    parser.finish()?;
+    Ok(value)
 }
 
 /// Parses a scenario document.

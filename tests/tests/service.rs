@@ -217,6 +217,22 @@ fn bad_inline_specs_are_rejected_at_submit() {
     handle.join().unwrap().unwrap();
 }
 
+/// A sweep too large to expand — or whose range bound overflows — is a
+/// typed rejection at submit, computed from the axis lengths before
+/// anything is allocated, and the server keeps answering.
+#[test]
+fn oversized_sweeps_are_rejected_and_the_server_survives() {
+    let (addr, handle) = start(Arc::new(Store::in_memory()));
+    for range in ["0..4000000000", "0..=9223372036854775807"] {
+        let text = format!("[topology]\nside = 15\nr = 1\n[sweep]\nseed = \"{range}\"\n");
+        let err = client::submit(&addr, &text).unwrap_err();
+        assert!(err.to_string().contains("sweep.seed"), "{range}: {err}");
+        client::ping(&addr).expect("the server still answers");
+    }
+    client::shutdown(&addr).unwrap();
+    handle.join().unwrap().unwrap();
+}
+
 /// The server's rows are byte-for-byte what the offline batch runner
 /// prints — a client cannot tell whether a row was computed or cached,
 /// or whether it came from `serve` or `run --scenario`.
